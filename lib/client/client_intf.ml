@@ -45,6 +45,9 @@ let is_transient = function
   | Crashed | Unavailable | Timed_out -> true
   | Fs _ | Bad_fd | Read_only | Rejected -> false
 
+type ext = ..
+type ext += No_ext
+
 type t = {
   name : string;
   open_file : pool:Cgroup.t -> string -> flags -> (fd, error) result;
@@ -60,6 +63,7 @@ type t = {
   unlink : pool:Cgroup.t -> string -> (unit, error) result;
   rename : pool:Cgroup.t -> src:string -> dst:string -> (unit, error) result;
   memory_used : unit -> int;
+  ext : ext;
 }
 
 let read_exact t ~pool fd ~off ~len =

@@ -40,6 +40,14 @@ val error_to_string : error -> string
     it is the overload machinery asking for less load, not a fault. *)
 val is_transient : error -> bool
 
+(** Layer-private state attached to an instance.  A layer that must
+    find its own state again from the instance it built (the union's
+    copy-up counters) adds a constructor; other instances carry
+    [No_ext]. *)
+type ext = ..
+
+type ext += No_ext
+
 type t = {
   name : string;
   open_file : pool:Cgroup.t -> string -> flags -> (fd, error) result;
@@ -57,6 +65,7 @@ type t = {
   rename : pool:Cgroup.t -> src:string -> dst:string -> (unit, error) result;
   memory_used : unit -> int;
       (** bytes of cache memory currently attributable to this client *)
+  ext : ext;
 }
 
 (** [read_exact t ~pool fd ~off ~len] keeps reading until [len] bytes or

@@ -58,6 +58,7 @@ let create kernel ~cluster ~pool ~config ~name ~page_cache ?threads () =
           through ~pool ~bytes:0 (fun () ->
               inner.Client_intf.rename ~pool ~src ~dst));
       memory_used = (fun () -> Lib_client.cache_used lib);
+      ext = Client_intf.No_ext;
     }
   in
   (* the FP variant stacks the kernel page cache on top (double caching) *)

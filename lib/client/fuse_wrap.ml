@@ -40,4 +40,5 @@ let wrap kernel ~pool ~name ?threads (inner : Client_intf.t) =
       (fun ~pool ~src ~dst ->
         through ~pool ~bytes:0 (fun () -> inner.Client_intf.rename ~pool ~src ~dst));
     memory_used = inner.Client_intf.memory_used;
+    ext = Client_intf.No_ext;
   }

@@ -27,6 +27,11 @@ val iface : t -> Client_intf.t
 
 val name : t -> string
 
+(** Inodes the client holds state for: linked ones it has looked up,
+    created or opened, plus unlinked ones still open.  An inode unlinked
+    through this client is evicted at its last close. *)
+val inode_count : t -> int
+
 (** {1 Fault injection} — the in-kernel client wedges/recovers.  While
     crashed, every operation on every mount answers [Error Crashed]. *)
 

@@ -78,4 +78,9 @@ val client_lock : t -> Mutex_sim.t
 (** Bytes currently held by the user-level cache. *)
 val cache_used : t -> int
 
+(** Inodes the client holds state for: linked ones it has looked up,
+    created or opened, plus unlinked ones still open.  An inode unlinked
+    through this client is evicted at its last close. *)
+val inode_count : t -> int
+
 val dirty_bytes : t -> int

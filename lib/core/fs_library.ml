@@ -141,4 +141,5 @@ let iface t ~thread =
         | Some _, None | None, Some _ ->
             Error (Client_intf.Fs Danaus_ceph.Namespace.No_entry));
     memory_used = (fun () -> 0);
+    ext = Client_intf.No_ext;
   }

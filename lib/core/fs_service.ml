@@ -102,6 +102,7 @@ let view t ~instance ~thread =
     rename =
       (fun ~pool ~src ~dst -> call 0 (fun () -> instance.Client_intf.rename ~pool ~src ~dst));
     memory_used = instance.Client_intf.memory_used;
+    ext = Client_intf.No_ext;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -171,6 +172,7 @@ let dispatch_iface t =
             with_route t dst (fun _ rest_dst ->
                 i.Client_intf.rename ~pool ~src:rest_src ~dst:rest_dst)));
     memory_used = (fun () -> 0);
+    ext = Client_intf.No_ext;
   }
 
 let legacy_iface t =

@@ -231,6 +231,33 @@ let contention_cell () =
     [ 0; 1 ];
   Testbed.drive tb ~stop:(fun () -> !done_count = pools)
 
+(* Small-file churn through the in-kernel Ceph client (K): create, write
+   64 KiB, close and unlink, [files] times — the Fileserver metadata path
+   where every inode's client state is built up and then evicted at
+   unlink.  Pins the per-inode cost and allocation of that lifecycle. *)
+let inode_churn files () =
+  let open Danaus_client in
+  let tb = Testbed.create ~seed:1 ~activated:4 () in
+  let pool = Testbed.pool tb 0 in
+  let kc =
+    Kernel_client.create tb.Testbed.kernel ~cluster:tb.Testbed.cluster
+      ~name:"churn.cephfs" ~max_dirty:(mib 256) ()
+  in
+  let fs = Kernel_client.iface kc in
+  let finished = ref false in
+  Engine.spawn tb.Testbed.engine (fun () ->
+      for i = 0 to files - 1 do
+        let path = Printf.sprintf "/churn/f%d" i in
+        match fs.Client_intf.open_file ~pool path Client_intf.flags_wo with
+        | Error _ -> failwith "inode-churn: create failed"
+        | Ok fd ->
+            ignore (fs.Client_intf.write ~pool fd ~off:0 ~len:65536);
+            fs.Client_intf.close ~pool fd;
+            ignore (fs.Client_intf.unlink ~pool path)
+      done;
+      finished := true);
+  Testbed.drive tb ~stop:(fun () -> !finished)
+
 (* One scheduler cell: a 3-host fleet with 6 placed pools, the
    controller's sample tick (per-host link-utilization deltas, signal
    windows, score gauges) run at high frequency.  Pins the cost of the
@@ -358,6 +385,7 @@ let run ?(label = "head") ?(meta = []) () =
       measure "seqio" seqio_cell;
       measure "contention" contention_cell;
       measure "recovery-drain" recovery_drain;
+      measure "inode-churn" (inode_churn 10_000);
     ]
   in
   { r_label = label; r_meta = meta; r_calibration = calibration; r_entries = entries }

@@ -14,6 +14,18 @@ type pool_ctrs = {
   io_wait_c : Obs.counter;
 }
 
+(* Retired totals of a lock class, all-float so the fields stay flat
+   (see Mutex_sim). *)
+type retired = { mutable r_wait : float; mutable r_hold : float }
+
+type lock_class = {
+  cls_engine : Engine.t;
+  cls_name : string;
+  instances : (int, Mutex_sim.t) Hashtbl.t;
+  retired : retired;
+  mutable retired_n : int;
+}
+
 type t = {
   engine : Engine.t;
   cpu : Cpu.t;
@@ -25,6 +37,7 @@ type t = {
   bytes_flushed_c : Obs.counter;
   flusher_runs_c : Obs.counter;
   locks : (string, Mutex_sim.t) Hashtbl.t;
+  classes : (string, lock_class) Hashtbl.t;
   pool_ctrs : (string, pool_ctrs) Hashtbl.t;
   writeback : float;
   expire : float;
@@ -55,6 +68,7 @@ let create ?(costs = Costs.default) ?(writeback = 1.0) ?(expire = 5.0) engine
     flusher_runs_c =
       Obs.counter obs ~layer:"kernel" ~name:"flusher_runs" ~key:kernel_tenant;
     locks = Hashtbl.create 64;
+    classes = Hashtbl.create 16;
     pool_ctrs = Hashtbl.create 16;
     writeback;
     expire;
@@ -95,26 +109,86 @@ let lock t name =
       Hashtbl.add t.locks name m;
       m
 
+let lock_class t name =
+  match Hashtbl.find t.classes name with
+  | c -> c
+  | exception Not_found ->
+      let c =
+        {
+          cls_engine = t.engine;
+          cls_name = name;
+          instances = Hashtbl.create 64;
+          retired = { r_wait = 0.0; r_hold = 0.0 };
+          retired_n = 0;
+        }
+      in
+      Hashtbl.add t.classes name c;
+      c
+
+let class_lock c id =
+  match Hashtbl.find c.instances id with
+  | m -> m
+  | exception Not_found ->
+      (* named by the class: instances share one Obs distribution *)
+      let m = Mutex_sim.create c.cls_engine ~name:c.cls_name in
+      Hashtbl.add c.instances id m;
+      m
+
+let retire_lock c id =
+  match Hashtbl.find c.instances id with
+  | m ->
+      c.retired.r_wait <- c.retired.r_wait +. Mutex_sim.total_wait m;
+      c.retired.r_hold <- c.retired.r_hold +. Mutex_sim.total_hold m;
+      c.retired_n <- c.retired_n + Mutex_sim.acquisitions m;
+      Hashtbl.remove c.instances id
+  | exception Not_found -> ()
+
+let live_locks c = Hashtbl.length c.instances
+
+let add_lock m (w, h, n) =
+  (w +. Mutex_sim.total_wait m, h +. Mutex_sim.total_hold m, n + Mutex_sim.acquisitions m)
+
+let class_totals c =
+  Hashtbl.fold
+    (fun _ m acc -> add_lock m acc)
+    c.instances
+    (c.retired.r_wait, c.retired.r_hold, c.retired_n)
+
 let lock_request_stats t =
+  let acc = Hashtbl.fold (fun _ m acc -> add_lock m acc) t.locks (0.0, 0.0, 0) in
   let wait, hold, n =
     Hashtbl.fold
-      (fun _ m (w, h, n) ->
-        ( w +. Mutex_sim.total_wait m,
-          h +. Mutex_sim.total_hold m,
-          n + Mutex_sim.acquisitions m ))
-      t.locks (0.0, 0.0, 0)
+      (fun _ c (w, h, n) ->
+        let cw, ch, cn = class_totals c in
+        (w +. cw, h +. ch, n + cn))
+      t.classes acc
   in
   if n = 0 then (0.0, 0.0, 0)
   else (wait /. float_of_int n, hold /. float_of_int n, n)
 
-let reset_lock_stats t = Hashtbl.iter (fun _ m -> Mutex_sim.reset_stats m) t.locks
+let reset_lock_stats t =
+  Hashtbl.iter (fun _ m -> Mutex_sim.reset_stats m) t.locks;
+  Hashtbl.iter
+    (fun _ c ->
+      Hashtbl.iter (fun _ m -> Mutex_sim.reset_stats m) c.instances;
+      c.retired.r_wait <- 0.0;
+      c.retired.r_hold <- 0.0;
+      c.retired_n <- 0)
+    t.classes
 
 let top_locks_by_wait t ~n =
+  let interned =
+    Hashtbl.fold
+      (fun name m acc ->
+        (name, Mutex_sim.total_wait m, Mutex_sim.total_hold m, Mutex_sim.acquisitions m)
+        :: acc)
+      t.locks []
+  in
   Hashtbl.fold
-    (fun name m acc ->
-      (name, Mutex_sim.total_wait m, Mutex_sim.total_hold m, Mutex_sim.acquisitions m)
-      :: acc)
-    t.locks []
+    (fun name c acc ->
+      let w, h, k = class_totals c in
+      (name, w, h, k) :: acc)
+    t.classes interned
   |> List.sort (fun (_, a, _, _) (_, b, _, _) -> Float.compare b a)
   |> List.filteri (fun i _ -> i < n)
 

@@ -50,13 +50,37 @@ val set_activated : t -> int array -> unit
     every pool on the host (e.g. ["i_mutex:/a/b"], ["sb:cephfs"]). *)
 val lock : t -> string -> Mutex_sim.t
 
-(** (avg wait, avg hold, requests) aggregated over all kernel locks —
-    the paper's Fig. 1b metric. *)
+(** A lock class (lockdep's term): the per-object locks of one kind on
+    one mount, e.g. ["i_mutex:<mount>"] for the inode mutexes.  Its
+    instances are created and retired with their objects, but every
+    instance records its wait/hold distribution under the class name,
+    and a retired instance's totals stay in the class's statistics. *)
+type lock_class
+
+(** Interned lock class. *)
+val lock_class : t -> string -> lock_class
+
+(** [class_lock c id] is the instance of [c] guarding object [id]
+    (e.g. an inode number), created on first use. *)
+val class_lock : lock_class -> int -> Mutex_sim.t
+
+(** [retire_lock c id] forgets the instance of object [id] (evicted),
+    folding its wait/hold/acquisition totals into the class.  Holds
+    still in progress are not counted; no-op for an unknown [id]. *)
+val retire_lock : lock_class -> int -> unit
+
+(** Live (not yet retired) instances of the class. *)
+val live_locks : lock_class -> int
+
+(** (avg wait, avg hold, requests) aggregated over all kernel locks,
+    retired class instances included — the paper's Fig. 1b metric. *)
 val lock_request_stats : t -> float * float * int
 
+(** Zero every lock's statistics, the classes' retired totals too. *)
 val reset_lock_stats : t -> unit
 
-(** The [n] locks with the highest total wait (debug/analysis). *)
+(** The [n] locks with the highest total wait (debug/analysis).  A lock
+    class counts as one lock, its instances summed. *)
 val top_locks_by_wait : t -> n:int -> (string * float * float * int) list
 
 (** {1 CPU and accounting helpers (call from a simulated process)} *)

@@ -58,6 +58,15 @@ val dirty_bytes_of : file -> int
 (** Drop the file's blocks (all must be clean; flush first). *)
 val invalidate : file -> unit
 
+(** [forget file] tells the cache the file's owner evicted it (the
+    inode was unlinked and its last descriptor closed).  A file holding
+    no block leaves the cache's tables at once; one still holding
+    blocks keeps its accounting and its place in the eviction and
+    writeback order, and leaves once eviction has dropped its last
+    block.  Looking the key up again with {!file} before then revives
+    it. *)
+val forget : file -> unit
+
 (** Block the caller while the file's mount is over its dirty limit.
     Woken by the flusher as data is cleaned. *)
 val throttle : file -> unit

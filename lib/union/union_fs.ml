@@ -25,7 +25,6 @@ type ufd =
     }
 
 type state = {
-  u_name : string;
   branches : branch list; (* topmost first *)
   upper : branch option;
   charge : pool:Cgroup.t -> float -> unit;
@@ -38,18 +37,13 @@ type state = {
   mutable copy_up_rollbacks : int;
 }
 
-(* copy-up statistics, looked up by union name (see mli).  The registry
-   is module-global and the parallel experiment runner builds unions
-   from several domains, so accesses are serialised with a real mutex
-   (Stdlib Hashtbl is not thread-safe). *)
-let copy_up_registry : (string, state) Hashtbl.t = Hashtbl.create 8
-let registry_mutex = Stdlib.Mutex.create ()
+(* The union's state travels with the instance it built, so two unions
+   of the same name (another testbed, a parallel runner domain) never
+   see each other's copy-up statistics. *)
+type Client_intf.ext += Union of state
 
 let find_state (iface : Client_intf.t) =
-  Stdlib.Mutex.lock registry_mutex;
-  let st = Hashtbl.find_opt copy_up_registry iface.Client_intf.name in
-  Stdlib.Mutex.unlock registry_mutex;
-  st
+  match iface.Client_intf.ext with Union st -> Some st | _ -> None
 
 let copy_ups iface =
   match find_state iface with Some st -> st.copy_up_count | None -> 0
@@ -497,7 +491,6 @@ let create ~name ~branches ~charge ?(cpu_per_op = 1.0e-6) ?block_cow () =
   in
   let st =
     {
-      u_name = name;
       branches;
       upper;
       charge;
@@ -569,11 +562,9 @@ let create ~name ~branches ~charge ?(cpu_per_op = 1.0e-6) ?block_cow () =
       unlink = (fun ~pool path -> unlink st ~pool path);
       rename = (fun ~pool ~src ~dst -> rename st ~pool ~src ~dst);
       memory_used = (fun () -> 0);
+      ext = Union st;
     }
   in
-  Stdlib.Mutex.lock registry_mutex;
-  Hashtbl.replace copy_up_registry st.u_name st;
-  Stdlib.Mutex.unlock registry_mutex;
   iface
 
 let check_whiteouts iface ~pool =

@@ -42,8 +42,9 @@ val create :
   unit ->
   Client_intf.t
 
-(** Number of copy-up operations performed through this union (for tests
-    and ablations). *)
+(** Number of copy-up operations performed through this union instance
+    (for tests and ablations); 0 for an instance that is not a union.
+    Unions sharing a name keep separate counts. *)
 val copy_ups : Client_intf.t -> int
 
 (** Number of copy-ups that failed mid-copy and were rolled back: the

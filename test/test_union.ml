@@ -532,3 +532,31 @@ let harness_suite =
   ]
 
 let suite = suite @ harness_suite
+
+(* Two unions with the same name — as two testbeds, or two domains of the
+   parallel runner, would build — keep separate copy-up statistics. *)
+let test_same_name_unions_independent () =
+  let w1, pool1, _, u1 = make_union_world () in
+  let _, _, _, u2 = make_union_world () in
+  check_bool "same name" true (u1.Client_intf.name = u2.Client_intf.name);
+  Engine.spawn w1.engine (fun () ->
+      let fd =
+        ok_or_fail "open append"
+          (u1.Client_intf.open_file ~pool:pool1 "/bigfile" Client_intf.flags_append)
+      in
+      ok_or_fail "append" (u1.Client_intf.append ~pool:pool1 fd ~len:(mib 1));
+      u1.Client_intf.close ~pool:pool1 fd);
+  Engine.run_until w1.engine 120.0;
+  check_int "the first union counts its copy-up" 1 (Union_fs.copy_ups u1);
+  check_int "the second union counts none" 0 (Union_fs.copy_ups u2)
+
+let instance_suite =
+  [
+    ( "union.instance",
+      [
+        Alcotest.test_case "same-name unions are independent" `Quick
+          test_same_name_unions_independent;
+      ] );
+  ]
+
+let suite = suite @ instance_suite
