@@ -10,13 +10,19 @@ type core = {
   usage : (string, fcell) Hashtbl.t;
 }
 
-type waiter = { eligible : int array; grant : int -> unit }
+(* A queued compute request.  It is listed in the wait queue of every
+   core it may run on; [taken] marks it granted, so the copies left in
+   the other cores' queues are skipped (and dropped) when they surface. *)
+type waiter = { grant : int -> unit; mutable taken : bool }
 
 type t = {
   engine : Engine.t;
   quantum : float;
   cores : core array;
-  mutable queue : waiter list; (* FIFO; head is the oldest *)
+  waits : waiter Queue.t array;
+      (* per core, in global arrival order: the front live entry of a
+         core's queue is the oldest waiter eligible to run on it *)
+  mutable nwait : int; (* live (not yet granted) waiters *)
   mutable rotor : int; (* rotating start point for idle-core search *)
   busy_handles : (string, Obs.counter) Hashtbl.t; (* tenant -> handle *)
   core_keys : string array; (* interned "coreN" span keys *)
@@ -33,7 +39,8 @@ let create ?(quantum = 500e-6) engine ~cores =
     cores =
       Array.init cores (fun id ->
           { id; busy = false; total_busy = 0.0; usage = Hashtbl.create 8 });
-    queue = [];
+    waits = Array.init cores (fun _ -> Queue.create ());
+    nwait = 0;
     rotor = 0;
     busy_handles = Hashtbl.create 16;
     core_keys = Array.init cores (Printf.sprintf "core%d");
@@ -42,9 +49,31 @@ let create ?(quantum = 500e-6) engine ~cores =
   }
 
 let core_count t = Array.length t.cores
-let waiting t = List.length t.queue
+let waiting t = t.nwait
 
-let eligible_contains eligible id = Array.exists (fun c -> c = id) eligible
+(* Drop granted waiters from the front of core [id]'s queue; the front
+   is then the oldest live waiter eligible to run on [id], if any. *)
+let rec live_front t id =
+  let q = t.waits.(id) in
+  match Queue.peek_opt q with
+  | Some w when w.taken ->
+      ignore (Queue.pop q);
+      live_front t id
+  | front -> front
+
+(* Queue [w] on core [id].  Granted copies normally surface at the
+   front within a quantum (a busy core is released after every burst);
+   the compaction bounds the queue of a core that is rarely released
+   while the waiters listed on it are served by other cores. *)
+let enqueue t id w =
+  let q = t.waits.(id) in
+  if Queue.length q > 4 * (t.nwait + 16) then begin
+    let live = Queue.create () in
+    Queue.iter (fun w -> if not w.taken then Queue.add w live) q;
+    Queue.clear q;
+    Queue.transfer live q
+  end;
+  Queue.add w q
 
 (* Rotating search so that background work spreads over the eligible
    cores instead of clustering on the lowest ids.  Returns the core id
@@ -72,25 +101,24 @@ let acquire t ~eligible =
             granted := id;
             wake ()
           in
-          t.queue <- t.queue @ [ { eligible; grant } ];
-          let depth = float_of_int (List.length t.queue) in
+          let w = { grant; taken = false } in
+          Array.iter (fun id -> enqueue t id w) eligible;
+          t.nwait <- t.nwait + 1;
+          let depth = float_of_int t.nwait in
           Obs.set t.queue_g depth;
           Obs.set_max t.queue_peak_g depth);
       !granted
 
 (* Remove and return the oldest waiter eligible to run on [id]. *)
 let take_waiter t id =
-  let rec go acc = function
-    | [] -> None
-    | w :: rest ->
-        if eligible_contains w.eligible id then begin
-          t.queue <- List.rev_append acc rest;
-          Obs.set t.queue_g (float_of_int (List.length t.queue));
-          Some w
-        end
-        else go (w :: acc) rest
-  in
-  go [] t.queue
+  match live_front t id with
+  | None -> None
+  | Some w as found ->
+      ignore (Queue.pop t.waits.(id));
+      w.taken <- true;
+      t.nwait <- t.nwait - 1;
+      Obs.set t.queue_g (float_of_int t.nwait);
+      found
 
 let release t id =
   match take_waiter t id with
@@ -168,9 +196,7 @@ let compute_background t ~tenant ~eligible ~backoff seconds =
         if traced then
           Trace.emit t.engine ~layer:"hw" ~name:tenant ~key:t.core_keys.(id)
             ~phase:Service ~start:ran_at ~dur:burst;
-        let displaced =
-          List.exists (fun w -> eligible_contains w.eligible id) t.queue
-        in
+        let displaced = Option.is_some (live_front t id) in
         release t id;
         remaining := !remaining -. burst;
         if displaced then Engine.sleep backoff

@@ -41,11 +41,77 @@ let stddev t =
 let min t = if t.size = 0 then 0.0 else fold Float.min infinity t
 let max t = if t.size = 0 then 0.0 else fold Float.max neg_infinity t
 
+(* Sorting the samples is most of the cost of summarising a large
+   histogram.  When they hold no NaN and no negative zero, every two
+   samples [Float.compare] calls equal are the same bits, so any correct
+   sort leaves the same array: a merge sort specialised to floats (no
+   comparison closure) then does the work.  Otherwise the generic sort
+   runs, so the result never depends on which sort was taken. *)
+let plain_floats (a : float array) n =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < n do
+    let x = a.(!i) in
+    if Float.is_nan x || (x = 0.0 && 1.0 /. x < 0.0) then ok := false;
+    incr i
+  done;
+  !ok
+
+let run_len = 16
+
+let sort_plain (a : float array) n =
+  (* insertion-sort runs of [run_len], then merge bottom-up through a
+     scratch buffer, ping-ponging between the two *)
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = Int.min n (!lo + run_len) in
+    for j = !lo + 1 to hi - 1 do
+      let x = a.(j) in
+      let k = ref (j - 1) in
+      while !k >= !lo && a.(!k) > x do
+        a.(!k + 1) <- a.(!k);
+        decr k
+      done;
+      a.(!k + 1) <- x
+    done;
+    lo := hi
+  done;
+  let src = ref a and dst = ref (Array.make n 0.0) and width = ref run_len in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Int.min n (!lo + !width) in
+      let hi = Int.min n (mid + !width) in
+      let p = ref !lo and q = ref mid and k = ref !lo in
+      while !p < mid && !q < hi do
+        if s.(!q) < s.(!p) then begin
+          d.(!k) <- s.(!q);
+          incr q
+        end
+        else begin
+          d.(!k) <- s.(!p);
+          incr p
+        end;
+        incr k
+      done;
+      Array.blit s !p d !k (mid - !p);
+      Array.blit s !q d (!k + mid - !p) (hi - !q);
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
 let ensure_sorted t =
   if not t.sorted then begin
-    let view = Array.sub t.data 0 t.size in
-    Array.sort Float.compare view;
-    Array.blit view 0 t.data 0 t.size;
+    if plain_floats t.data t.size then sort_plain t.data t.size
+    else begin
+      let view = Array.sub t.data 0 t.size in
+      Array.sort Float.compare view;
+      Array.blit view 0 t.data 0 t.size
+    end;
     t.sorted <- true
   end
 

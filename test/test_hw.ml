@@ -48,6 +48,39 @@ let test_cpu_parallel_on_two_cores () =
   Engine.run e;
   check_floatish "parallel completion" 1.0 (Engine.now e)
 
+(* A released core goes to the oldest waiter that may run on it, even
+   when older waiters for other cores sit ahead; a waiter eligible on
+   two cores is served once, by whichever frees first. *)
+let test_cpu_oldest_eligible_waiter () =
+  let e = Engine.create () in
+  let cpu = Cpu.create ~quantum:1.0 e ~cores:2 in
+  let finished = Hashtbl.create 8 in
+  let job name eligible =
+    Engine.spawn e (fun () ->
+        Cpu.compute cpu ~tenant:name ~eligible 1.0;
+        Hashtbl.replace finished name (Engine.time ()))
+  in
+  job "a" [| 0 |];
+  job "b" [| 1 |];
+  job "w1" [| 1 |];
+  job "w2" [| 0; 1 |];
+  job "w3" [| 0 |];
+  Engine.run_until e 0.5;
+  check_int "three queued" 3 (Cpu.waiting cpu);
+  Engine.run_until e 1.5;
+  check_int "w3 still queued" 1 (Cpu.waiting cpu);
+  Engine.run e;
+  check_int "all served" 0 (Cpu.waiting cpu);
+  List.iter
+    (fun (name, at) -> check_floatish (name ^ " finish") at (Hashtbl.find finished name))
+    [ ("a", 1.0); ("b", 1.0); ("w1", 2.0); ("w2", 2.0); ("w3", 3.0) ];
+  check_floatish "w2 ran on core 0" 1.0
+    (Cpu.busy_seconds_by cpu ~cores:[| 0 |] ~tenant:"w2");
+  check_floatish "w1 ran on core 1" 1.0
+    (Cpu.busy_seconds_by cpu ~cores:[| 1 |] ~tenant:"w1");
+  check_floatish "core 1 idle once w1 is done" 2.0
+    (Cpu.busy_seconds cpu ~cores:[| 1 |])
+
 let test_cpu_tenant_attribution () =
   let e = Engine.create () in
   let cpu = Cpu.create e ~cores:2 in
@@ -251,6 +284,7 @@ let suite =
         tc "quantum fairness" `Quick test_cpu_fifo_fairness_quantum;
         tc "usage breakdown" `Quick test_cpu_usage_breakdown;
         tc "reset usage" `Quick test_cpu_reset_usage;
+        tc "oldest eligible waiter" `Quick test_cpu_oldest_eligible_waiter;
       ] );
     ("hw.memory", [ tc "accounting" `Quick test_memory_accounting ]);
     ( "hw.disk",
