@@ -171,8 +171,10 @@ let prop_shard_causality =
     (fun (seed, ndomains) ->
       let rng = Rng.create (0x5AD0 + seed) in
       let w, shards, by_src = build_random_world rng in
-      let ok = ref true in
-      let delivered = ref 0 in
+      (* deliveries run on whichever domain owns the destination shard,
+         so the tallies are shared across domains *)
+      let ok = Atomic.make true in
+      let delivered = Atomic.make 0 in
       for i = 0 to shards - 1 do
         let senders = 1 + Rng.int rng 2 in
         for _ = 1 to senders do
@@ -185,12 +187,12 @@ let prop_shard_causality =
                 let sent = Engine.time () in
                 let deliver () =
                   let now = Engine.now (Shard.engine w d) in
-                  incr delivered;
+                  Atomic.incr delivered;
                   if
                     not
                       (now >= sent +. Shard.lookahead w -. 1e-12
                       && now >= sent +. Shard.edge_latency e -. 1e-12)
-                  then ok := false
+                  then Atomic.set ok false
                 in
                 while not (Shard.try_send e deliver) do
                   Engine.sleep (Shard.edge_latency e)
@@ -202,7 +204,7 @@ let prop_shard_causality =
       (* flush: let every sender finish and every message arrive, so
          the executed-delivery count can be compared to the runtime's *)
       Shard.run ~ndomains w ~until:60.0 ();
-      !ok && !delivered = Shard.messages w)
+      Atomic.get ok && Atomic.get delivered = Shard.messages w)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain digest identity on the fuzzer's random shard worlds:
