@@ -687,11 +687,19 @@ let acting_width t ~obj =
          | _ -> true)
        (placement t obj))
 
+(* Both object memos are pure in the object, so the deleted objects'
+   entries go with them: the memos then hold the live objects, not every
+   object the run ever touched, and a re-created object is placed the
+   same way again. *)
 let delete_range t ~ino ~size =
-  List.iter
-    (fun (obj, _) ->
-      Array.iter (fun osd -> Osd.delete osd ~obj) t.cluster_osds)
+  List.iteri
+    (fun index (obj, _) ->
+      Array.iter (fun osd -> Osd.delete osd ~obj) t.cluster_osds;
+      Hashtbl.remove t.placements obj;
+      Striper.forget ~ino ~index)
     (Striper.objects ~object_size:t.obj_size ~ino ~off:0 ~len:size)
+
+let cached_placements t = Hashtbl.length t.placements
 
 let meta t f =
   to_server t ~bytes:message_bytes;

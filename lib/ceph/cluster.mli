@@ -128,8 +128,12 @@ val object_state : t -> int -> obj:string -> Recovery.obj_state
     copy.  Converges back to [replicas] when recovery completes. *)
 val acting_width : t -> obj:string -> int
 
-(** Drop all objects of inode [ino] up to [size] bytes. *)
+(** Drop all objects of inode [ino] up to [size] bytes, with their
+    memoised names and placements. *)
 val delete_range : t -> ino:int -> size:int -> unit
+
+(** Number of objects whose CRUSH placement is memoised. *)
+val cached_placements : t -> int
 
 (** {1 Metadata path (one network round trip + MDS service each)} *)
 

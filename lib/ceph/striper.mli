@@ -12,3 +12,11 @@ val objects :
 
 (** Name of the object holding byte [off] of inode [ino]. *)
 val object_of : object_size:int -> ino:int -> off:int -> string
+
+(** [forget ~ino ~index] drops the calling domain's interned name of
+    object [index] of inode [ino], once the object is deleted.  Naming
+    it again renders an equal string. *)
+val forget : ino:int -> index:int -> unit
+
+(** Number of object names the calling domain holds interned. *)
+val interned : unit -> int

@@ -32,9 +32,14 @@ let create engine ~name =
     acquisitions = 0;
     contended = 0;
     (* mutexes sharing a name (per-inode locks, interned kernel locks)
-       share one distribution, which is what the figures aggregate *)
-    wait_h = Obs.histogram obs ~layer:"sim" ~name:"lock_wait" ~key:name;
-    hold_h = Obs.histogram obs ~layer:"sim" ~name:"lock_hold" ~key:name;
+       share one distribution, which is what the figures aggregate.
+       Sketch-backed: a hot lock sees an acquisition per op, so an exact
+       store would grow with the run.  Count, total and max stay exact;
+       the figures read [total_wait]/[total_hold], not the percentiles. *)
+    wait_h =
+      Obs.histogram ~backing:Obs.Sketch obs ~layer:"sim" ~name:"lock_wait" ~key:name;
+    hold_h =
+      Obs.histogram ~backing:Obs.Sketch obs ~layer:"sim" ~name:"lock_hold" ~key:name;
   }
 
 let name t = t.name

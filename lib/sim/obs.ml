@@ -81,7 +81,6 @@ type t = {
 let default_tracing = ref false
 let default_trace_capacity = ref 4096
 let default_sample_period : float option ref = ref None
-let default_hist_backing : backing ref = ref Exact
 
 let dummy_cspan =
   {
@@ -141,8 +140,7 @@ let make_histogram = function
   | Sketch -> { hx = None; hs = Some (Sketch.create ()) }
   | Both -> { hx = Some (Stats.create ()); hs = Some (Sketch.create ()) }
 
-let histogram ?backing t ~layer ~name ~key =
-  let backing = Option.value ~default:!default_hist_backing backing in
+let histogram ?(backing = Exact) t ~layer ~name ~key =
   match
     intern t ~layer ~name ~key (fun () -> H (make_histogram backing)) "histogram"
   with

@@ -41,11 +41,6 @@ val default_sample_period : float option ref
     subject. *)
 type backing = Exact | Sketch | Both
 
-(** Backing for histograms interned without an explicit [?backing];
-    [Exact] by default.  Like the other defaults, set only at program
-    startup. *)
-val default_hist_backing : backing ref
-
 (** [create ()] makes an empty context.  [tracing] and [trace_capacity]
     default to the refs above. *)
 val create : ?tracing:bool -> ?trace_capacity:int -> unit -> t
@@ -63,8 +58,9 @@ type histogram
 val counter : t -> layer:string -> name:string -> key:string -> counter
 val gauge : t -> layer:string -> name:string -> key:string -> gauge
 
-(** [backing] applies only when the cell is first interned; later
-    lookups return the existing cell whatever backing was requested. *)
+(** [backing] (default [Exact]) applies only when the cell is first
+    interned; later lookups return the existing cell whatever backing
+    was requested. *)
 val histogram :
   ?backing:backing -> t -> layer:string -> name:string -> key:string -> histogram
 

@@ -4,7 +4,9 @@ type t = {
   initial : int; (* permits at creation; release balance bound *)
   mutable permits : int;
   waiting : (unit -> unit) Queue.t;
-  wait_h : Obs.histogram option; (* only named semaphores record waits *)
+  (* only named semaphores record waits; sketch-backed, as the lock
+     histograms of {!Mutex_sim}, so a gate's cell has fixed memory *)
+  wait_h : Obs.histogram option;
 }
 
 let create ?name engine ~value =
@@ -20,7 +22,8 @@ let create ?name engine ~value =
     wait_h =
       Option.map
         (fun n ->
-          Obs.histogram (Engine.obs engine) ~layer:"sim" ~name:"sem_wait" ~key:n)
+          Obs.histogram ~backing:Obs.Sketch (Engine.obs engine) ~layer:"sim"
+            ~name:"sem_wait" ~key:n)
         name;
   }
 

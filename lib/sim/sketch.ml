@@ -18,6 +18,19 @@ type store = {
   mutable n : int; (* total count held by this store *)
 }
 
+(* The running float state lives in an all-float record: those are
+   flat in the OCaml value model, so the per-add stores are unboxed (as
+   mutable float fields of the mixed record [t] they would box a fresh
+   float per add).  [last] memoises the last magnitude [add] mapped to
+   a bucket, whose index is [last_idx]: streams that repeat a value
+   (lock hold times on the cost atoms) then skip the log of [index]. *)
+type floats = {
+  mutable sum : float;
+  mutable mn : float; (* +inf when empty *)
+  mutable mx : float; (* -inf when empty *)
+  mutable last : float; (* 0.0, never a bucketed magnitude, until the first add *)
+}
+
 type t = {
   alpha : float;
   gamma : float;
@@ -27,9 +40,8 @@ type t = {
   neg : store;
   mutable zero : int;
   mutable count : int;
-  mutable sum : float;
-  mutable mn : float; (* +inf when empty *)
-  mutable mx : float; (* -inf when empty *)
+  f : floats;
+  mutable last_idx : int;
 }
 
 let min_pos = 1e-12
@@ -50,17 +62,16 @@ let create ?(accuracy = 0.005) ?(max_bins = 4096) () =
     neg = new_store ();
     zero = 0;
     count = 0;
-    sum = 0.0;
-    mn = Float.infinity;
-    mx = Float.neg_infinity;
+    f = { sum = 0.0; mn = Float.infinity; mx = Float.neg_infinity; last = 0.0 };
+    last_idx = 0;
   }
 
 let accuracy t = t.alpha
 let count t = t.count
-let total t = t.sum
-let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-let min t = if t.count = 0 then 0.0 else t.mn
-let max t = if t.count = 0 then 0.0 else t.mx
+let total t = t.f.sum
+let mean t = if t.count = 0 then 0.0 else t.f.sum /. float_of_int t.count
+let min t = if t.count = 0 then 0.0 else t.f.mn
+let max t = if t.count = 0 then 0.0 else t.f.mx
 let bins t = Array.length t.pos.bins + Array.length t.neg.bins
 
 (* Bucket index for a magnitude m > min_pos. *)
@@ -74,7 +85,7 @@ let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
 (* Add [c] observations to bucket [idx] of [st], growing the array or
    collapsing the lowest buckets as needed to respect [max_bins]. *)
-let insert max_bins st idx c =
+let insert_slow max_bins st idx c =
   if Array.length st.bins = 0 then begin
     st.bins <- Array.make 32 0;
     st.base <- idx
@@ -117,14 +128,33 @@ let insert max_bins st idx c =
   st.hi <- hi;
   st.n <- st.n + c
 
+let insert max_bins st idx c =
+  if st.n > 0 && idx >= st.lo && idx <= st.hi then begin
+    (* inside the used span: no growth, no collapse *)
+    st.bins.(idx - st.base) <- st.bins.(idx - st.base) + c;
+    st.n <- st.n + c
+  end
+  else insert_slow max_bins st idx c
+
+(* [index] is a pure function of the magnitude, so a memo hit gives
+   the bucket the log would. *)
+let[@inline] index_memo t m =
+  if (m : float) = t.f.last then t.last_idx
+  else begin
+    let i = index t m in
+    t.f.last <- m;
+    t.last_idx <- i;
+    i
+  end
+
 let add t x =
-  if x > min_pos then insert t.max_bins t.pos (index t x) 1
-  else if x < -.min_pos then insert t.max_bins t.neg (index t (-.x)) 1
+  if x > min_pos then insert t.max_bins t.pos (index_memo t x) 1
+  else if x < -.min_pos then insert t.max_bins t.neg (index_memo t (-.x)) 1
   else t.zero <- t.zero + 1;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. x;
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x
+  t.f.sum <- t.f.sum +. x;
+  if x < t.f.mn then t.f.mn <- x;
+  if x > t.f.mx then t.f.mx <- x
 
 exception Found of float
 
@@ -150,11 +180,11 @@ let percentile t p =
             if !cum > k then raise (Found (value_of t i))
           done;
           (* Unreachable: cumulative counts sum to t.count > k. *)
-          t.mx
+          t.f.mx
         end
       with Found v -> v
     in
-    if v < t.mn then t.mn else if v > t.mx then t.mx else v
+    if v < t.f.mn then t.f.mn else if v > t.f.mx then t.f.mx else v
   end
 
 (* Count held by [st] in bucket indices [a, b] (inclusive). *)
@@ -170,8 +200,8 @@ let sum_range st a b =
   end
 
 let count_above t v =
-  if t.count = 0 || v >= t.mx then 0
-  else if v < t.mn then t.count
+  if t.count = 0 || v >= t.f.mx then 0
+  else if v < t.f.mn then t.count
   else if v > min_pos then sum_range t.pos (index t v + 1) max_int
   else if v >= -.min_pos then t.pos.n
   else
@@ -193,18 +223,20 @@ let merge_into ~dst ~src =
   merge_store dst.max_bins ~dst:dst.neg ~src:src.neg;
   dst.zero <- dst.zero + src.zero;
   dst.count <- dst.count + src.count;
-  dst.sum <- dst.sum +. src.sum;
-  if src.mn < dst.mn then dst.mn <- src.mn;
-  if src.mx > dst.mx then dst.mx <- src.mx
+  dst.f.sum <- dst.f.sum +. src.f.sum;
+  if src.f.mn < dst.f.mn then dst.f.mn <- src.f.mn;
+  if src.f.mx > dst.f.mx then dst.f.mx <- src.f.mx
 
 let copy_store st =
   { bins = Array.copy st.bins; base = st.base; lo = st.lo; hi = st.hi; n = st.n }
 
+(* [f] is mutable state too (running floats and the memo): copy it. *)
 let copy t =
   {
     t with
     pos = copy_store t.pos;
     neg = copy_store t.neg;
+    f = { t.f with sum = t.f.sum };
   }
 
 let clear_store st =
@@ -218,6 +250,6 @@ let clear t =
   clear_store t.neg;
   t.zero <- 0;
   t.count <- 0;
-  t.sum <- 0.0;
-  t.mn <- Float.infinity;
-  t.mx <- Float.neg_infinity
+  t.f.sum <- 0.0;
+  t.f.mn <- Float.infinity;
+  t.f.mx <- Float.neg_infinity

@@ -286,6 +286,43 @@ let prop_namespace_create_then_lookup =
       List.iter (fun p -> ignore (Namespace.create_file ns p)) paths;
       List.for_all (fun p -> Namespace.lookup ns p <> None) paths)
 
+(* The object-name and placement memos hold only live objects: a
+   create/write/delete churn leaves the kept files' objects in both, and
+   a re-created object lands on the OSDs it used before.  The name
+   table is per domain and shared by every cluster, so it is measured
+   as a delta over inode numbers no other test uses. *)
+let test_cluster_memos_track_live_objects () =
+  let e, cluster = make_cluster ~replicas:3 () in
+  let base = 0x7ee000 and files = 20 and per_file = 2 in
+  let kept i = i mod 5 = 0 in
+  let holders ino =
+    let obj = Striper.object_of ~object_size:(mib 4) ~ino ~off:0 in
+    Array.to_list (Cluster.osds cluster)
+    |> List.filter (fun osd -> Osd.has_object osd ~obj)
+    |> List.map Osd.name
+  in
+  let names0 = Striper.interned () in
+  let first_holders = ref [] in
+  Engine.spawn e (fun () ->
+      for i = 0 to files - 1 do
+        let ino = base + i in
+        io_ok (Cluster.write_range cluster ~ino ~off:0 ~len:(mib (4 * per_file)));
+        io_ok (Cluster.read_range cluster ~ino ~off:0 ~len:(mib 1));
+        if i = 1 then first_holders := holders ino;
+        if not (kept i) then Cluster.delete_range cluster ~ino ~size:(mib (4 * per_file))
+      done);
+  Engine.run e;
+  let live = files / 5 * per_file in
+  check_int "placements: live objects only" live (Cluster.cached_placements cluster);
+  check_int "names: live objects only" live (Striper.interned () - names0);
+  check_bool "deleted object had holders" true (List.length !first_holders = 3);
+  Engine.spawn e (fun () ->
+      io_ok (Cluster.write_range cluster ~ino:(base + 1) ~off:0 ~len:(mib 1)));
+  Engine.run e;
+  Alcotest.(check (list string)) "re-created object, same placement" !first_holders
+    (holders (base + 1));
+  check_int "placement memoised again" (live + 1) (Cluster.cached_placements cluster)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -316,6 +353,7 @@ let suite =
         tc "replication" `Quick test_cluster_replication;
         tc "metadata path" `Quick test_cluster_metadata_path;
         tc "delete range" `Quick test_cluster_delete_range;
+        tc "memos track live objects" `Quick test_cluster_memos_track_live_objects;
       ] );
     ( "ceph.properties",
       List.map QCheck_alcotest.to_alcotest

@@ -152,6 +152,87 @@ let test_sketch_count_above () =
     true
     (abs (approx - truth) <= 150)
 
+(* [sk] answers as a fresh sketch fed [values] in order would. *)
+let same_as what sk values =
+  let fresh = Sketch.create () in
+  List.iter (Sketch.add fresh) values;
+  check_int (what ^ " count") (Sketch.count fresh) (Sketch.count sk);
+  check_bool (what ^ " total") true (Float.equal (Sketch.total fresh) (Sketch.total sk));
+  check_bool (what ^ " max") true (Float.equal (Sketch.max fresh) (Sketch.max sk));
+  for p = 0 to 100 do
+    let p = float_of_int p in
+    check_bool (what ^ " percentiles") true
+      (Float.equal (Sketch.percentile fresh p) (Sketch.percentile sk p))
+  done
+
+(* [Sketch.add] memoises the last magnitude's bucket.  Collapsing the
+   lowest buckets leaves every sample in bucket [max idx (hi - max_bins
+   + 1)] whatever the order, so one multiset fed grouped by value
+   (mostly memo hits) and in a shuffle (mostly misses) must give the
+   same sketch: runs of repeated atoms, fresh values, negatives and
+   zeros, once with [max_bins = 16] so the wide spread collapses (the
+   top atoms stay above the collapse) and once with the default, where
+   nothing collapses. *)
+let test_sketch_memo_order_free () =
+  let st = Random.State.make [| 0xD5; 8 |] in
+  let xs =
+    Array.concat
+      [
+        Array.make 300 0.5e-6;
+        Array.make 200 2e-6;
+        Array.make 100 3.25;
+        Array.make 150 400.0;
+        Array.make 120 401.5;
+        Array.init 400 (fun _ -> Float.exp (Random.State.float st 20.0 -. 14.0));
+        Array.make 50 (-3.0);
+        Array.init 80 (fun _ -> -.Random.State.float st 100.0);
+        Array.make 40 0.0;
+        Array.make 10 1e-13;
+      ]
+  in
+  let grouped = Array.copy xs in
+  Array.sort Float.compare grouped;
+  let shuffled = Array.copy xs in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- t
+  done;
+  List.iter
+    (fun max_bins ->
+      let feed xs =
+        let sk = Sketch.create ~max_bins () in
+        Array.iter (Sketch.add sk) xs;
+        sk
+      in
+      let a = feed grouped and b = feed shuffled in
+      check_int "count" (Sketch.count a) (Sketch.count b);
+      check_bool "min" true (Float.equal (Sketch.min a) (Sketch.min b));
+      check_bool "max" true (Float.equal (Sketch.max a) (Sketch.max b));
+      for p = 0 to 100 do
+        let pa = Sketch.percentile a (float_of_int p)
+        and pb = Sketch.percentile b (float_of_int p) in
+        check_bool
+          (Printf.sprintf "max_bins %d: p%d (%g vs %g)" max_bins p pa pb)
+          true (Float.equal pa pb)
+      done)
+    [ 16; 4096 ];
+  (* a copy owns its state (memo and running floats):
+     adding to one leaves the other as a fresh sketch fed the same
+     values would be *)
+  List.iter
+    (fun before ->
+      let orig = Sketch.create () in
+      List.iter (Sketch.add orig) before;
+      let c = Sketch.copy orig in
+      Sketch.add c 1000.0;
+      Sketch.add orig 7.0;
+      Sketch.add orig 1000.0;
+      same_as "original" orig (before @ [ 7.0; 1000.0 ]);
+      same_as "copy" c (before @ [ 1000.0 ]))
+    [ [ 1.0 ]; List.init 200 (fun i -> 1.0 +. float_of_int (i mod 3)) ]
+
 (* ------------------------------------------------------------------ *)
 (* Obs histogram backings *)
 
@@ -526,6 +607,7 @@ let suite =
         tc "merge is associative" `Quick test_sketch_merge_associative;
         tc "deterministic digests" `Quick test_sketch_determinism;
         tc "count_above tracks the oracle" `Quick test_sketch_count_above;
+        tc "memoised add is order-free" `Quick test_sketch_memo_order_free;
       ] );
     ( "health.obs",
       [

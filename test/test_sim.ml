@@ -135,6 +135,86 @@ let test_mutex_stats () =
   check_float "avg hold" 2.0 (Mutex_sim.avg_hold m);
   check_float "avg wait" 1.0 (Mutex_sim.avg_wait m)
 
+(* Lock and semaphore histograms are sketch-backed: their memory stays
+   fixed however many hand-offs a run makes, while count, total and max
+   stay exact.  Two workers per resource hand it back and forth, holding
+   it for one of 37 durations in turn, so after the first [n] rounds no
+   new bucket appears; the test shadows every wait and hold it sees. *)
+let test_lock_hist_bounded_exact () =
+  let e = Engine.create () in
+  let m = Mutex_sim.create e ~name:"bounded.m" in
+  let sem = Semaphore_sim.create ~name:"bounded.s" e ~value:1 in
+  let obs = Engine.obs e in
+  let cell name key = Obs.histogram obs ~layer:"sim" ~name ~key in
+  let wait_h = cell "lock_wait" "bounded.m"
+  and hold_h = cell "lock_hold" "bounded.m"
+  and sem_h = cell "sem_wait" "bounded.s" in
+  let words () =
+    List.fold_left
+      (fun acc h -> acc + Obj.reachable_words (Obj.repr h))
+      0 [ wait_h; hold_h; sem_h ]
+  in
+  let hold_of i = 1e-6 *. float_of_int (1 + (i mod 37)) in
+  let wait_max = ref 0.0 and hold_max = ref 0.0 in
+  let sem_waits = ref 0 and sem_max = ref 0.0 in
+  let mutex_worker rounds () =
+    for i = 1 to rounds do
+      let t0 = Engine.now e and contended = Mutex_sim.locked m in
+      Mutex_sim.lock m;
+      let t1 = Engine.now e in
+      if contended then wait_max := Float.max !wait_max (t1 -. t0);
+      Engine.sleep (hold_of i);
+      hold_max := Float.max !hold_max (Engine.now e -. t1);
+      Mutex_sim.unlock m
+    done
+  in
+  let sem_worker rounds () =
+    for i = 1 to rounds do
+      let t0 = Engine.now e and contended = Semaphore_sim.value sem = 0 in
+      Semaphore_sim.acquire sem;
+      if contended then begin
+        incr sem_waits;
+        sem_max := Float.max !sem_max (Engine.now e -. t0)
+      end;
+      Engine.sleep (hold_of (i + 5));
+      Semaphore_sim.release sem
+    done
+  in
+  let phase rounds =
+    for _ = 1 to 2 do
+      Engine.spawn e (mutex_worker rounds);
+      Engine.spawn e (sem_worker rounds)
+    done;
+    Engine.run e
+  in
+  let summary name key =
+    match Obs.hist_summary obs ~layer:"sim" ~name ~key with
+    | Some h -> h
+    | None -> Alcotest.failf "no sim/%s[%s]" name key
+  in
+  let n = 200 in
+  phase n;
+  let words_n = words () in
+  let holds_n = (summary "lock_hold" "bounded.m").Obs.h_count in
+  phase (3 * n);
+  let w = summary "lock_wait" "bounded.m"
+  and h = summary "lock_hold" "bounded.m"
+  and s = summary "sem_wait" "bounded.s" in
+  check_int "hold count quadruples" (4 * holds_n) h.Obs.h_count;
+  check_bool
+    (Printf.sprintf "cell words fixed (%d after n, %d after 4n)" words_n (words ()))
+    true
+    (words () <= words_n + 16);
+  let same what a b = check_bool what true (Float.equal a b) in
+  check_int "wait count = contended" (Mutex_sim.contended m) w.Obs.h_count;
+  check_int "hold count = acquisitions" (Mutex_sim.acquisitions m) h.Obs.h_count;
+  same "wait total = total_wait" (Mutex_sim.total_wait m) w.Obs.h_total;
+  same "hold total = total_hold" (Mutex_sim.total_hold m) h.Obs.h_total;
+  same "wait max" !wait_max w.Obs.h_max;
+  same "hold max" !hold_max h.Obs.h_max;
+  check_int "sem wait count" !sem_waits s.Obs.h_count;
+  same "sem wait max" !sem_max s.Obs.h_max
+
 let test_mutex_fifo_handoff () =
   let e = Engine.create () in
   let m = Mutex_sim.create e ~name:"m" in
@@ -541,6 +621,8 @@ let suite =
         tc "mutex exclusion" `Quick test_mutex_exclusion;
         tc "mutex stats" `Quick test_mutex_stats;
         tc "mutex FIFO handoff" `Quick test_mutex_fifo_handoff;
+        tc "lock histograms bounded, exact fields" `Quick
+          test_lock_hist_bounded_exact;
         tc "unlock unlocked raises" `Quick test_mutex_unlock_unlocked;
         tc "condition signal" `Quick test_condition_signal;
         tc "condition broadcast" `Quick test_condition_broadcast;
